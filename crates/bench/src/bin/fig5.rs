@@ -1,7 +1,8 @@
 //! Regenerates **Figure 5**: the time / memory-high-watermark table over
 //! XMark queries Q1, Q6, Q8, Q13, Q20 at several document sizes.
 //!
-//! Engines compared (see DESIGN.md for the substitution rationale):
+//! Engines compared (each stands in for one class of system in the
+//! paper's table; the paper's competitors are not available here):
 //!
 //! * `gcx`        — this system: projection + active garbage collection;
 //! * `proj-only` — static projection without dynamic purging (the

@@ -11,12 +11,14 @@
 //! stage is a resumable state machine over pushed stream events, and
 //! [`EvalSession`] is their composition — the push-driven public API
 //! (`feed` bytes in, drain output out, suspend at any byte boundary).
-//! [`run`] and [`run_with_feed`] are blocking wrappers over the same
-//! machines.
+//! [`run`] is a blocking wrapper over it.
 //!
 //! * [`Projector`] — runs the projection NFA over pushed tokens, copies
-//!   matched ones into the buffer ([`Preprojector`](stream::Preprojector)
-//!   pairs it with a pull tokenizer);
+//!   matched ones into the buffer;
+//! * [`EvalUnit`] — one query's buffer, evaluator and output writer: the
+//!   part of a session that the stream side feeds. A session owns one;
+//!   the shared-stream batch (`gcx-multi`) drives one per query from a
+//!   single tokenizer pass;
 //! * [`buffer::BufferTree`] — the buffer + role bookkeeping +
 //!   garbage collector;
 //! * the evaluator (`eval`, internal) — executes the rewritten query as
@@ -49,10 +51,8 @@ pub mod session;
 pub mod stream;
 
 pub use buffer::{AttrBuf, BufferStats, BufferTree, NodeId};
-pub use engine::{
-    run, run_query, run_with_feed, CompiledQuery, EngineOptions, RunReport, SchemaReport,
-};
+pub use engine::{run, run_query, CompiledQuery, EngineOptions, RunReport, SchemaReport};
 pub use error::EngineError;
 pub use obs::{FeedSpan, ObsReport, RoleObs, TaskObs};
-pub use session::{Emitted, EvalSession};
-pub use stream::{BufferFeed, ChildCounters, Projector, Timeline};
+pub use session::{Emitted, EvalSession, EvalUnit};
+pub use stream::{ChildCounters, Projector, Timeline};

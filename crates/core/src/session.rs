@@ -77,24 +77,193 @@ enum Pumped {
     Eof,
 }
 
+/// One query's evaluation state: its buffer (with active garbage
+/// collection), the resumable VM and the output writer — everything of a
+/// run except the stream side that fills the buffer.
+///
+/// [`EvalSession`] pairs one unit with its own tokenizer and
+/// [`Projector`]; the shared-stream batch (`gcx-multi`) drives one unit
+/// per query from a single tokenizer and merged matcher. Either driver
+/// appends stream events to [`EvalUnit::buffer_mut`] and resumes the VM
+/// at the same points: once before the first event, after each applied
+/// event that satisfies the recorded wait ([`EvalUnit::wait_satisfied`]),
+/// and to completion once the input is exhausted. That shared protocol is
+/// what keeps outputs and buffer peaks identical across the two.
+pub struct EvalUnit {
+    vm: Vm,
+    buf: BufferTree,
+    symbols: SymbolTable,
+    out: XmlWriter<Vec<u8>>,
+    done: bool,
+}
+
+impl EvalUnit {
+    /// A fresh unit for `q`. Honours the buffer-side options (`purge`,
+    /// `execute_signoffs`, `max_buffer_bytes`, `indent`, `telemetry`);
+    /// projection and schema options belong to the stream side.
+    pub fn new(q: &CompiledQuery, opts: &EngineOptions) -> EvalUnit {
+        let mut buf = BufferTree::new(opts.purge);
+        buf.set_max_bytes(opts.max_buffer_bytes);
+        let mut vm = Vm::new(Arc::clone(&q.program), opts.execute_signoffs);
+        if opts.telemetry {
+            buf.enable_telemetry(crate::obs::DEFAULT_TIMELINE_EVERY);
+            vm.enable_timing();
+        }
+        EvalUnit {
+            vm,
+            buf,
+            // The once-at-startup symbol handshake: cloning the program's
+            // pre-interned table maps every query symbol into the run's
+            // table; document names are interned on top as they arrive.
+            symbols: q.program.symbols().clone(),
+            out: XmlWriter::with_options(
+                Vec::new(),
+                WriterOptions {
+                    indent: opts.indent.clone(),
+                },
+            ),
+            done: false,
+        }
+    }
+
+    /// Run the VM until it suspends on missing input or completes;
+    /// returns whether the program is done. A no-op once done.
+    #[inline]
+    pub fn resume(&mut self) -> Result<bool, EngineError> {
+        if !self.done {
+            let status = self
+                .vm
+                .resume(&mut self.buf, &self.symbols, &mut self.out)?;
+            self.done = matches!(status, VmStatus::Done);
+        }
+        Ok(self.done)
+    }
+
+    /// Would resuming now let the suspended VM make progress? False
+    /// while the recorded wait is unsatisfied: resuming then would be a
+    /// provable no-op.
+    #[inline]
+    pub fn wait_satisfied(&self) -> bool {
+        self.vm.wait_satisfied(&self.buf)
+    }
+
+    /// Declare the input exhausted. The caller closes the virtual root
+    /// first; the next [`EvalUnit::resume`] then runs to completion.
+    pub fn set_input_exhausted(&mut self) {
+        self.vm.set_input_exhausted();
+    }
+
+    /// The program ran to completion.
+    #[inline]
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// The unit's buffer.
+    pub fn buffer(&self) -> &BufferTree {
+        &self.buf
+    }
+
+    /// The unit's buffer, for appending stream events.
+    pub fn buffer_mut(&mut self) -> &mut BufferTree {
+        &mut self.buf
+    }
+
+    /// The unit's symbol table (the program's symbols plus document
+    /// names interned so far), for interning names of appended events.
+    pub fn symbols_mut(&mut self) -> &mut SymbolTable {
+        &mut self.symbols
+    }
+
+    /// Borrowed view of the output bytes pending in the unit.
+    pub fn output(&self) -> &[u8] {
+        self.out.get_ref()
+    }
+
+    /// Move all pending output out of the unit.
+    pub fn take_output_vec(&mut self) -> Vec<u8> {
+        std::mem::take(self.out.get_mut())
+    }
+
+    /// Drain pending output into `sink`; returns the bytes written. On a
+    /// sink error, the bytes that *were* written are removed from the
+    /// pending buffer before the error returns, so a retry never emits a
+    /// byte twice.
+    pub fn take_output<W: Write>(&mut self, sink: &mut W) -> Result<usize, EngineError> {
+        let pending = self.out.get_mut();
+        let total = pending.len();
+        let mut off = 0;
+        while off < pending.len() {
+            match sink.write(&pending[off..]) {
+                Ok(0) => {
+                    pending.drain(..off);
+                    return Err(EngineError::Xml(XmlError {
+                        kind: XmlErrorKind::Io(std::io::Error::new(
+                            std::io::ErrorKind::WriteZero,
+                            "output sink accepted no bytes",
+                        )),
+                        pos: TextPos::START,
+                    }));
+                }
+                Ok(n) => off += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    pending.drain(..off);
+                    return Err(EngineError::Xml(XmlError {
+                        kind: XmlErrorKind::Io(e),
+                        pos: TextPos::START,
+                    }));
+                }
+            }
+        }
+        pending.clear();
+        Ok(total)
+    }
+
+    /// Flush the writer and assemble the unit's share of the run report.
+    /// `tokens` is the stream side's count; the stream-only fields
+    /// (`timeline`, `feed_calls`, `max_pending_bytes`, `schema`) are left
+    /// empty for the caller to fill. Telemetry, when on, carries the given
+    /// feed spans and tokenizer window peak.
+    pub fn report(
+        &mut self,
+        tokens: u64,
+        feed_spans: Vec<FeedSpan>,
+        tokenizer_window_peak: u64,
+    ) -> Result<RunReport, EngineError> {
+        self.out.flush()?;
+        let obs = self
+            .buf
+            .take_telemetry()
+            .map(|tel| tel.into_report(self.vm.take_task_obs(), feed_spans, tokenizer_window_peak));
+        Ok(RunReport {
+            tokens,
+            buffer: self.buf.stats(),
+            timeline: None,
+            output_bytes: self.out.bytes_written(),
+            max_buffer_bytes: self.buf.max_bytes(),
+            feed_calls: 0,
+            max_pending_bytes: 0,
+            obs,
+            schema: None,
+        })
+    }
+}
+
 /// A resumable, push-driven evaluation of one compiled query over one
 /// document. Create with [`CompiledQuery::session`]; see the
 /// [module docs](self) for the protocol.
 ///
 /// The session is the engine core with the I/O inverted: internally it
-/// owns the incremental tokenizer, the projection state machine, the
-/// buffer (with active garbage collection) and the resumable evaluator —
-/// all suspended together between `feed` calls, holding exactly the GCX
-/// buffer plus the current partial token.
+/// owns the incremental tokenizer, the projection state machine and one
+/// [`EvalUnit`] (the buffer with active garbage collection, and the
+/// resumable evaluator) — all suspended together between `feed` calls,
+/// holding exactly the GCX buffer plus the current partial token.
 pub struct EvalSession {
-    vm: Vm,
-    buf: BufferTree,
-    symbols: SymbolTable,
-    out: XmlWriter<Vec<u8>>,
+    unit: EvalUnit,
     tok: PushTokenizer,
     proj: Projector,
     drain_input: bool,
-    vm_done: bool,
     finished: bool,
     feed_calls: u64,
     max_pending_bytes: u64,
@@ -108,27 +277,23 @@ pub struct EvalSession {
 
 impl EvalSession {
     pub(crate) fn new(q: &CompiledQuery, opts: &EngineOptions) -> EvalSession {
-        // The once-at-startup symbol handshake: cloning the program's
-        // pre-interned table maps every query symbol into the session's
-        // (and thereby the tokenizer's) table. The schema analyses intern
-        // their DTD names here too — before any document bytes arrive, so
-        // stream and analyses agree on symbols.
-        let mut symbols = q.program.symbols().clone();
-        let mut buf = BufferTree::new(opts.purge);
-        buf.set_max_bytes(opts.max_buffer_bytes);
+        let mut unit = EvalUnit::new(q, opts);
         // The projection NFA was compiled with the query; the per-run
         // matcher only instantiates mutable frame state over the shared
         // paths. Root roles (the paper's r1) are not materialized: the
         // virtual root is never purged, so its bookkeeping would be inert.
         // With a schema: drop DTD-unsatisfiable paths, arm the matcher's
         // descendant-reachability filter, and install sibling-order
-        // cutoffs in the buffer.
+        // cutoffs in the buffer. The schema analyses intern their DTD
+        // names into the unit's table before any document bytes arrive,
+        // so stream and analyses agree on symbols.
         let (matcher, _root_roles, pruned_paths) = match &opts.schema {
             Some(dtd) => {
-                let prune = dtd.prune(q.program.matcher_paths(), &symbols);
-                let reach = Arc::new(dtd.reach_filter(&mut symbols));
+                let symbols = &mut unit.symbols;
+                let prune = dtd.prune(q.program.matcher_paths(), symbols);
+                let reach = Arc::new(dtd.reach_filter(symbols));
                 let (m, r) = StreamMatcher::with_reach(&prune.paths, Some(reach));
-                buf.set_schema(dtd.ord_table(&mut symbols), false);
+                unit.buf.set_schema(dtd.ord_table(symbols), false);
                 (m, r, Some((prune.pruned.len() as u32, prune.total as u32)))
             }
             None => {
@@ -138,26 +303,11 @@ impl EvalSession {
         };
         let mut proj = Projector::new(matcher, opts.project, opts.timeline_every);
         proj.set_doctype_adoption(opts.schema.is_none() && opts.schema_from_doctype);
-        let out = XmlWriter::with_options(
-            Vec::new(),
-            WriterOptions {
-                indent: opts.indent.clone(),
-            },
-        );
-        let mut vm = Vm::new(Arc::clone(&q.program), opts.execute_signoffs);
-        if opts.telemetry {
-            buf.enable_telemetry(crate::obs::DEFAULT_TIMELINE_EVERY);
-            vm.enable_timing();
-        }
         EvalSession {
-            vm,
-            buf,
-            symbols,
-            out,
+            unit,
             tok: PushTokenizer::new(),
             proj,
             drain_input: opts.drain_input,
-            vm_done: false,
             finished: false,
             feed_calls: 0,
             max_pending_bytes: 0,
@@ -221,7 +371,7 @@ impl EvalSession {
     /// drops chunks from then on; callers owning the byte source can stop
     /// reading it (the [`run`](crate::run) wrapper does).
     pub fn wants_input(&self) -> bool {
-        !self.vm_done || self.drain_input
+        !self.unit.is_done() || self.drain_input
     }
 
     /// Declare the end of input and run evaluation to completion,
@@ -238,18 +388,11 @@ impl EvalSession {
         let emitted = self.pump()?;
         debug_assert!(emitted.done, "EOF pump must complete the program");
         self.finished = true;
-        self.out.flush()?;
-        let obs = self.buf.take_telemetry().map(|tel| {
-            tel.into_report(
-                self.vm.take_task_obs(),
-                std::mem::take(&mut self.feed_spans),
-                self.tok.window_peak(),
-            )
-        });
         // A schema was in effect when the matcher was schema-built
         // (explicit) or the buffer adopted a DOCTYPE's order table.
-        let schema = if self.pruned_paths.is_some() || self.buf.schema_active() {
-            let (early_scan_ends, early_signoffs, doctype_adopted) = self.buf.schema_counters();
+        let buf = &self.unit.buf;
+        let schema = if self.pruned_paths.is_some() || buf.schema_active() {
+            let (early_scan_ends, early_signoffs, doctype_adopted) = buf.schema_counters();
             let (pruned, total) = self.pruned_paths.unwrap_or((0, 0));
             Some(crate::engine::SchemaReport {
                 pruned_paths: pruned,
@@ -262,22 +405,23 @@ impl EvalSession {
         } else {
             None
         };
+        let report = self.unit.report(
+            self.proj.tokens(),
+            std::mem::take(&mut self.feed_spans),
+            self.tok.window_peak(),
+        )?;
         Ok(RunReport {
-            tokens: self.proj.tokens(),
-            buffer: self.buf.stats(),
             timeline: self.proj.take_timeline(),
-            output_bytes: self.out.bytes_written(),
-            max_buffer_bytes: self.buf.max_bytes(),
             feed_calls: self.feed_calls,
             max_pending_bytes: self.max_pending_bytes,
-            obs,
             schema,
+            ..report
         })
     }
 
     /// Borrowed view of the output bytes pending in the session.
     pub fn output(&self) -> &[u8] {
-        self.out.get_ref()
+        self.unit.output()
     }
 
     /// Drain pending output into `sink`; returns the bytes written.
@@ -288,34 +432,7 @@ impl EvalSession {
     /// the pending buffer before the error returns, so retrying (on the
     /// same or a replacement sink) never emits a byte twice.
     pub fn take_output<W: Write>(&mut self, sink: &mut W) -> Result<usize, EngineError> {
-        let pending = self.out.get_mut();
-        let total = pending.len();
-        let mut off = 0;
-        while off < pending.len() {
-            match sink.write(&pending[off..]) {
-                Ok(0) => {
-                    pending.drain(..off);
-                    return Err(EngineError::Xml(XmlError {
-                        kind: XmlErrorKind::Io(std::io::Error::new(
-                            std::io::ErrorKind::WriteZero,
-                            "output sink accepted no bytes",
-                        )),
-                        pos: TextPos::START,
-                    }));
-                }
-                Ok(n) => off += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    pending.drain(..off);
-                    return Err(EngineError::Xml(XmlError {
-                        kind: XmlErrorKind::Io(e),
-                        pos: TextPos::START,
-                    }));
-                }
-            }
-        }
-        pending.clear();
-        Ok(total)
+        self.unit.take_output(sink)
     }
 
     /// `feed` calls so far.
@@ -366,29 +483,26 @@ impl EvalSession {
     /// tokens until the machine's recorded wait is satisfiable, evaluator
     /// again — so buffer peaks are bit-identical however the input was
     /// chunked (resuming while the wait is unsatisfied would be a provable
-    /// no-op; see [`Vm::wait_satisfied`]).
+    /// no-op; see [`EvalUnit::wait_satisfied`]).
     fn pump(&mut self) -> Result<Emitted, EngineError> {
         loop {
-            if !self.vm_done {
-                match self
-                    .vm
-                    .resume(&mut self.buf, &self.symbols, &mut self.out)?
-                {
-                    VmStatus::Done => self.vm_done = true,
-                    VmStatus::NeedInput => loop {
-                        match self.apply_next()? {
-                            Pumped::Applied => {
-                                if self.vm.wait_satisfied(&self.buf) {
-                                    break;
-                                }
-                            }
-                            Pumped::Starved => return Ok(self.emitted()),
-                            Pumped::Eof => {
-                                self.vm.set_input_exhausted();
+            if !self.unit.is_done() {
+                if self.unit.resume()? {
+                    continue;
+                }
+                loop {
+                    match self.apply_next()? {
+                        Pumped::Applied => {
+                            if self.unit.wait_satisfied() {
                                 break;
                             }
                         }
-                    },
+                        Pumped::Starved => return Ok(self.emitted()),
+                        Pumped::Eof => {
+                            self.unit.set_input_exhausted();
+                            break;
+                        }
+                    }
                 }
             } else {
                 if !self.drain_input {
@@ -407,8 +521,9 @@ impl EvalSession {
         match self.tok.step()? {
             TokenStep::Token => {
                 let token = self.tok.token();
-                self.proj.apply(&token, &mut self.buf, &mut self.symbols);
-                self.buf.check_limit()?;
+                self.proj
+                    .apply(&token, &mut self.unit.buf, &mut self.unit.symbols);
+                self.unit.buf.check_limit()?;
                 Ok(Pumped::Applied)
             }
             TokenStep::NeedMoreData => {
@@ -418,7 +533,7 @@ impl EvalSession {
             }
             TokenStep::End => {
                 if !self.proj.finished() {
-                    self.proj.finish(&mut self.buf);
+                    self.proj.finish(&mut self.unit.buf);
                 }
                 Ok(Pumped::Eof)
             }
@@ -427,8 +542,8 @@ impl EvalSession {
 
     fn emitted(&self) -> Emitted {
         Emitted {
-            output_bytes: self.out.get_ref().len(),
-            done: self.vm_done,
+            output_bytes: self.unit.output().len(),
+            done: self.unit.is_done(),
         }
     }
 }

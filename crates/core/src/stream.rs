@@ -7,65 +7,16 @@
 //! zero per-path work. Every structural token — kept or skipped — advances
 //! the token counter and (optionally) samples the buffer-occupancy timeline
 //! that the paper's Figures 3 and 4 plot. Tokens can come from anywhere:
-//! the push-based `EvalSession` applies them as network chunks arrive,
-//! while [`Preprojector`] pairs the projector with a pull [`Tokenizer`]
-//! for in-process `Read` sources.
+//! the push-based `EvalSession` applies them as network chunks arrive.
 //!
 //! For the full-buffering baseline (`project = false`) the projector
 //! buffers *every* element and non-whitespace text node; roles are still
 //! assigned so the evaluator and the signOff machinery behave identically.
 
 use crate::buffer::{AttrBuf, BufferTree, NodeId, Ordinals};
-use crate::error::EngineError;
 use gcx_projection::StreamMatcher;
 use gcx_query::ast::RoleId;
-use gcx_xml::{Symbol, SymbolTable, Token, Tokenizer, XmlResult};
-use std::io::Read;
-
-/// Anything that can drive a [`BufferTree`] one step at a time.
-///
-/// The evaluator ([`crate::run_with_feed`]) is agnostic about where
-/// buffered nodes come from: the classic single-query pipeline feeds it
-/// from a [`Preprojector`] (tokenizer + projection NFA), while the
-/// multi-query shared-stream driver (`gcx-multi`) feeds it pre-matched
-/// node events from a channel. One call to [`BufferFeed::advance`]
-/// corresponds to one `nextNode()` request of the paper's architecture.
-pub trait BufferFeed {
-    /// Advance the feed by one event, appending/closing buffer nodes as
-    /// needed. Returns `false` once the input is exhausted (the virtual
-    /// root must be closed before returning `false` the first time).
-    fn advance(
-        &mut self,
-        buf: &mut BufferTree,
-        symbols: &mut SymbolTable,
-    ) -> Result<bool, EngineError>;
-
-    /// Structural events processed so far (for reporting).
-    fn tokens(&self) -> u64;
-
-    /// Extract the buffer-occupancy timeline, if this feed records one.
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        None
-    }
-}
-
-impl<R: Read> BufferFeed for Preprojector<R> {
-    fn advance(
-        &mut self,
-        buf: &mut BufferTree,
-        symbols: &mut SymbolTable,
-    ) -> Result<bool, EngineError> {
-        Ok(Preprojector::advance(self, buf, symbols)?)
-    }
-
-    fn tokens(&self) -> u64 {
-        Preprojector::tokens(self)
-    }
-
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        Preprojector::take_timeline(self)
-    }
-}
+use gcx_xml::{Symbol, SymbolTable, Token};
 
 /// Buffer-occupancy timeline: `(token index, live buffered nodes)` samples.
 #[derive(Debug, Clone, Default)]
@@ -92,8 +43,8 @@ impl Timeline {
 /// Document child counters for ordinal stamping: every child — kept,
 /// skipped or text — bumps these, so positional predicates evaluate
 /// against true document positions. One instance per open element; also
-/// used by the shared-stream driver (`gcx-multi`), which stamps ordinals
-/// per query on the driver side.
+/// used by the shared-stream batch (`gcx-multi`), which stamps ordinals
+/// per query.
 ///
 /// Same-name counts live in a small vector (elements have few distinct
 /// child names; a hash map would pay hashing and allocation per child),
@@ -412,80 +363,45 @@ impl Projector {
     }
 }
 
-/// The pull preprojector: a [`Tokenizer`] paired with the sans-IO
-/// [`Projector`]. Used by blocking callers that own a `Read` source; the
-/// push-based `EvalSession` drives the projector directly instead.
-pub struct Preprojector<R> {
-    tokenizer: Tokenizer<R>,
-    proj: Projector,
-}
-
-impl<R: Read> Preprojector<R> {
-    /// Create a preprojector over a token stream.
-    pub fn new(
-        tokenizer: Tokenizer<R>,
-        matcher: StreamMatcher,
-        project: bool,
-        timeline_every: Option<u64>,
-    ) -> Preprojector<R> {
-        Preprojector {
-            tokenizer,
-            proj: Projector::new(matcher, project, timeline_every),
-        }
-    }
-
-    /// Structural tokens processed so far.
-    pub fn tokens(&self) -> u64 {
-        self.proj.tokens()
-    }
-
-    /// True once the input has been exhausted (root closed).
-    pub fn finished(&self) -> bool {
-        self.proj.finished()
-    }
-
-    /// Extract the recorded timeline (if enabled).
-    pub fn take_timeline(&mut self) -> Option<Timeline> {
-        self.proj.take_timeline()
-    }
-
-    /// Process one token. Returns `false` when the input is exhausted
-    /// (after closing the virtual root). This is the `nextNode()` edge of
-    /// the paper's architecture: the buffer manager calls it until a
-    /// blocked evaluator request can be answered.
-    pub fn advance(&mut self, buf: &mut BufferTree, symbols: &mut SymbolTable) -> XmlResult<bool> {
-        if self.proj.finished() {
-            return Ok(false);
-        }
-        let Some(token) = self.tokenizer.next_token()? else {
-            self.proj.finish(buf);
-            return Ok(false);
-        };
-        self.proj.apply(&token, buf, symbols);
-        Ok(true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gcx_projection::{analyze, CompiledPaths};
     use gcx_query::compile;
+    use gcx_xml::{PushTokenizer, TokenStep};
 
-    /// Run the preprojector to completion; return (buffer, symbols, tokens).
+    /// Push `xml` through a tokenizer into `proj` to the end of input
+    /// (closing the virtual root).
+    fn push_all(proj: &mut Projector, xml: &str, buf: &mut BufferTree, symbols: &mut SymbolTable) {
+        let mut tok = PushTokenizer::new();
+        tok.feed(xml.as_bytes());
+        tok.finish_input();
+        loop {
+            match tok.step().unwrap() {
+                TokenStep::Token => proj.apply(&tok.token(), buf, symbols),
+                TokenStep::End => break proj.finish(buf),
+                TokenStep::NeedMoreData => unreachable!("all input was fed"),
+            }
+        }
+    }
+
+    /// Compile `query`'s projection paths into a fresh projector.
+    fn projector(query: &str, project: bool, symbols: &mut SymbolTable) -> Projector {
+        let a = analyze(&compile(query).unwrap());
+        let compiled = CompiledPaths::compile(&a.roles, symbols);
+        let (matcher, _root_roles) = StreamMatcher::new(&compiled);
+        Projector::new(matcher, project, Some(1))
+    }
+
+    /// Run the projector to completion; return (buffer, symbols, tokens).
     /// Purging is enabled exactly when projecting, mirroring the engine's
     /// presets (full buffering disables the garbage collector).
     fn project_all(query: &str, xml: &str, project: bool) -> (BufferTree, SymbolTable, u64) {
-        let q = compile(query).unwrap();
-        let a = analyze(&q);
         let mut symbols = SymbolTable::new();
-        let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
-        let (matcher, _root_roles) = StreamMatcher::new(&compiled);
+        let mut proj = projector(query, project, &mut symbols);
         let mut buf = BufferTree::new(project);
-        let tokenizer = Tokenizer::from_str(xml);
-        let mut pre = Preprojector::new(tokenizer, matcher, project, Some(1));
-        while pre.advance(&mut buf, &mut symbols).unwrap() {}
-        let tokens = pre.tokens();
+        push_all(&mut proj, xml, &mut buf, &mut symbols);
+        let tokens = proj.tokens();
         (buf, symbols, tokens)
     }
 
@@ -599,17 +515,11 @@ mod tests {
 
     #[test]
     fn timeline_records_buffer_growth_and_purge() {
-        let q = "for $a in /x/y return 'z'";
-        let query = compile(q).unwrap();
-        let a = analyze(&query);
         let mut symbols = SymbolTable::new();
-        let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
-        let (matcher, _) = StreamMatcher::new(&compiled);
+        let mut proj = projector("for $a in /x/y return 'z'", true, &mut symbols);
         let mut buf = BufferTree::new(true);
-        let tokenizer = Tokenizer::from_str("<x><w/><w/><y/></x>");
-        let mut pre = Preprojector::new(tokenizer, matcher, true, Some(1));
-        while pre.advance(&mut buf, &mut symbols).unwrap() {}
-        let tl = pre.take_timeline().unwrap();
+        push_all(&mut proj, "<x><w/><w/><y/></x>", &mut buf, &mut symbols);
+        let tl = proj.take_timeline().unwrap();
         assert_eq!(tl.points.len(), 8);
         assert!(tl.peak() >= 2);
         // Growth then eventual stability: last sample has x + y buffered

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! (The assertion is `||`-guarded in the doctest because the doctest binary
-//! does not install the allocator; the unit tests do.)
+//! does not install the allocator; `tests/tracking.rs` does.)
 //!
 //! Overhead is a handful of relaxed atomic operations per allocation — low
 //! enough to leave timing comparisons meaningful, but benchmark binaries
@@ -150,46 +150,8 @@ pub fn fmt_bytes(bytes: u64) -> String {
 mod tests {
     use super::*;
 
-    // Install the allocator for the test binary so counters move.
-    #[global_allocator]
-    static ALLOC: TrackingAllocator = TrackingAllocator::new();
-
-    // A single serial test: the counters are process-global, so parallel
-    // test threads would race on `reset_peak`.
-    #[test]
-    fn tracks_allocations() {
-        // Peak rises with a large allocation.
-        reset_peak();
-        let before = live_bytes();
-        let v = vec![0u8; 1 << 20];
-        assert!(peak_bytes() >= before + (1 << 20));
-        assert!(live_bytes() >= before + (1 << 20));
-        drop(v);
-        assert!(live_bytes() < before + (1 << 20));
-
-        // Total only ever grows.
-        let t0 = total_bytes();
-        let v2 = vec![1u8; 4096];
-        assert!(total_bytes() >= t0 + 4096);
-        drop(v2);
-        assert!(total_bytes() >= t0 + 4096);
-
-        // Allocation events are counted.
-        let a0 = total_allocs();
-        let v3 = vec![0u8; 64];
-        assert!(total_allocs() > a0);
-        drop(v3);
-
-        // Realloc paths (Vec growth) keep live consistent.
-        let mut grow = Vec::new();
-        for i in 0..10_000u32 {
-            grow.push(i);
-        }
-        let live_with = live_bytes();
-        drop(grow);
-        assert!(live_bytes() < live_with);
-    }
-
+    // The counting tests live in `tests/tracking.rs`, a test binary of
+    // their own: the counters are process-global.
     #[test]
     fn formats_byte_counts() {
         assert_eq!(fmt_bytes(512), "512B");

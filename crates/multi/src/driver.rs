@@ -1,83 +1,36 @@
-//! The shared-stream driver: one tokenizer pass, N independent query
-//! evaluations.
-//!
-//! ## Data flow
-//!
-//! The driver thread owns the tokenizer and the [`MergedMatcher`]. For
-//! every structural token it makes the merged keep/skip decision once,
-//! stamps per-query document ordinals (exactly as each query's standalone
-//! preprojector would), and sends per-query [`FeedEvent`]s over bounded
-//! channels to one worker thread per query. Each worker runs the ordinary
-//! single-query evaluator over a [`ChannelFeed`]; its buffer, role
-//! multiset and signOff execution are untouched by the sharing, so
-//! per-query buffer minimality is preserved.
-//!
-//! ## Skip bookkeeping
-//!
-//! Three nested notions of "not interested" exist:
-//!
-//! * merged skip (`merged_skip > 0`): *no* query can match inside — the
-//!   subtree is scanned with a depth counter and zero per-query work
-//!   (its end tags never reach per-query state);
-//! * per-query skip (`QState::skip_depth > 0`): some other query keeps the
-//!   element, this one doesn't. The subtree stays invisible to this query,
-//!   but start/end tags inside it (processed for the queries that *do*
-//!   keep it) must balance the counter;
-//! * dead (`QState::tx == None`): the worker disconnected (evaluator
-//!   error); the driver stops feeding it, other queries are unaffected.
-//!
-//! ## Backpressure and termination
-//!
-//! Channels are bounded ([`BatchOptions::channel_capacity`]): a slow query
-//! stalls the shared pass rather than buffering the stream, keeping memory
-//! proportional to Σ per-query live buffers. Workers always drain to `Eof`
-//! (the engine's `drain_input` pulls after evaluation completes), so the
-//! driver never blocks forever; a worker that dies instead disconnects its
-//! channel, which the driver observes on the next send.
+//! The blocking wrapper over [`MultiSession`]: batch options, per-query
+//! outcomes and the batch report.
 
-use crate::feed::{ChannelFeed, FeedEvent};
-use crate::matcher::{BatchPlan, MergedMatcher};
-use gcx_core::buffer::Ordinals;
-use gcx_core::{ChildCounters, CompiledQuery, EngineError, EngineOptions, RunReport};
-use gcx_query::ast::RoleId;
-use gcx_xml::{PushTokenizer, Symbol, SymbolTable, Token, TokenStep, XmlError, XmlErrorKind};
+use crate::matcher::BatchPlan;
+use crate::session::MultiSession;
+use gcx_core::{CompiledQuery, EngineError, RunReport};
+use gcx_xml::{XmlError, XmlErrorKind};
 use std::io::Read;
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Shared copies of an element's name and attributes; cloning one into a
-/// keeping query's event is a refcount bump.
-type SharedStart = (Arc<str>, Arc<[(Box<str>, Box<str>)]>);
+use std::time::Duration;
 
 /// Configuration of a shared-stream batch run.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Execute signOff statements (dynamic buffer minimization) in every
-    /// worker. Disabling degrades each query to projection-only buffering.
+    /// Execute signOff statements (dynamic buffer minimization) for
+    /// every query. Disabling degrades each query to projection-only
+    /// buffering.
     pub execute_signoffs: bool,
     /// Pretty-print each query's output with this indent.
     pub indent: Option<String>,
-    /// Bound of each per-query event channel (events, not bytes).
-    pub channel_capacity: usize,
-    /// Events per channel send. Each send to a parked worker pays a thread
-    /// wake-up; chunking amortizes it. Effective chunk size is capped at
-    /// `channel_capacity` so backpressure granularity survives tiny
-    /// channels.
-    pub chunk_size: usize,
     /// Per-query buffer byte budget (None = unlimited). A query that
     /// crosses it fails with `BufferLimitExceeded`; the rest of the batch
-    /// is unaffected (worker failures never stop peers).
+    /// is unaffected (a query's failure never stops its peers).
     pub max_buffer_bytes: Option<u64>,
-    /// Record buffer-lifecycle and VM-frame telemetry in every worker;
+    /// Record buffer-lifecycle and VM-frame telemetry for every query;
     /// each per-query [`RunReport`] then carries an `obs` section
     /// (residency histograms, purge causes, live-bytes timeline).
     pub telemetry: bool,
     /// A DTD the shared input is promised to be valid against. Applied at
-    /// the *merged matcher*: per-query path pruning plus the descendant-
-    /// reachability filter on the single shared scan. (Workers evaluate
-    /// over pre-matched channel events, so the buffer-side cutoff
-    /// analysis has no stream to observe there.)
+    /// the *merged matcher* only: per-query path pruning plus the
+    /// descendant-reachability filter on the single shared scan. The
+    /// per-query buffers get no sibling-order cutoffs (the standalone
+    /// session's earliest-signOff analysis).
     pub schema: Option<Arc<gcx_schema::Dtd>>,
 }
 
@@ -86,8 +39,6 @@ impl Default for BatchOptions {
         BatchOptions {
             execute_signoffs: true,
             indent: None,
-            channel_capacity: 4096,
-            chunk_size: 256,
             max_buffer_bytes: None,
             telemetry: false,
             schema: None,
@@ -100,9 +51,9 @@ impl Default for BatchOptions {
 pub struct QueryRun {
     /// The query's serialized result (byte-identical to a standalone run).
     pub output: Vec<u8>,
-    /// The worker's run report, or the error that stopped it. `tokens` in
+    /// The query's run report, or the error that stopped it. `tokens` in
     /// the report counts the events this query *received* — its private
-    /// share of the stream.
+    /// share of the stream, end of input included.
     pub report: Result<RunReport, EngineError>,
 }
 
@@ -165,82 +116,13 @@ impl BatchReport {
                     s.push_str(&format!(
                         "{{\"index\":{i},\"output_bytes\":{},\"error\":\"{}\"}}",
                         q.output.len(),
-                        json_escape(&e.to_string())
+                        gcx_obs::json_escape(&e.to_string())
                     ));
                 }
             }
         }
         s.push_str("]}");
         s
-    }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Per-query driver-side state.
-struct QState {
-    /// Event channel to the worker; `None` once the worker disconnected.
-    tx: Option<SyncSender<Vec<FeedEvent>>>,
-    /// Events accumulated for the next send.
-    chunk: Vec<FeedEvent>,
-    /// Flush threshold for `chunk`.
-    chunk_size: usize,
-    /// Depth inside a subtree this query skipped while some other query
-    /// keeps it (0 = in this query's kept region).
-    skip_depth: u32,
-    /// Ordinal counters for this query's open elements (root frame at the
-    /// bottom). Only elements this query keeps get a frame — identical to
-    /// the standalone preprojector's open stack.
-    counters: Vec<ChildCounters>,
-    /// Recycled counters for closed elements (no allocation per element).
-    counter_pool: Vec<ChildCounters>,
-}
-
-impl QState {
-    fn alive(&self) -> bool {
-        self.tx.is_some()
-    }
-
-    /// Queue an event, flushing a full chunk; on disconnect mark the query
-    /// dead.
-    fn send(&mut self, event: FeedEvent) {
-        if self.tx.is_some() {
-            self.chunk.push(event);
-            if self.chunk.len() >= self.chunk_size {
-                self.flush();
-            }
-        }
-    }
-
-    /// Push the pending chunk to the worker.
-    fn flush(&mut self) {
-        if self.chunk.is_empty() {
-            return;
-        }
-        if let Some(tx) = &self.tx {
-            let chunk = std::mem::replace(&mut self.chunk, Vec::with_capacity(self.chunk_size));
-            if tx.send(chunk).is_err() {
-                self.tx = None;
-                self.chunk = Vec::new();
-            }
-        } else {
-            self.chunk.clear();
-        }
     }
 }
 
@@ -257,7 +139,7 @@ impl SharedRun {
     }
 
     /// Evaluate `queries` over `input` in a single pass. Per-query
-    /// evaluator failures are reported in the [`BatchReport`]; only input
+    /// failures are reported in the [`BatchReport`]; only input
     /// parse errors (which invalidate every query) fail the whole batch.
     pub fn run<R: Read>(
         &self,
@@ -283,293 +165,28 @@ impl SharedRun {
         &self,
         plan: &BatchPlan,
         queries: &[CompiledQuery],
-        input: R,
+        mut input: R,
     ) -> Result<BatchReport, EngineError> {
-        assert_eq!(
-            plan.n_queries(),
-            queries.len(),
-            "batch plan was prepared for a different number of queries"
-        );
-        let started = Instant::now();
-        // Interning during the scan is per-document: each run extends its
-        // own clone of the plan's pre-interned table.
-        let mut symbols = plan.symbols.clone();
-        let (mut matcher, _root_roles) = MergedMatcher::from_plan(plan);
-        let engine_opts = EngineOptions {
-            project: true,
-            execute_signoffs: self.opts.execute_signoffs,
-            purge: true,
-            drain_input: true,
-            timeline_every: None,
-            indent: self.opts.indent.clone(),
-            max_buffer_bytes: self.opts.max_buffer_bytes,
-            telemetry: self.opts.telemetry,
-            // Workers run over pre-matched channel events: the schema's
-            // stream-side analyses (matcher filter, cutoffs) live in the
-            // shared scan above, not in the per-query evaluators.
-            schema: None,
-            schema_from_doctype: false,
-        };
-
-        let mut input = input;
-        let mut scan_result: Result<(u64, u64), EngineError> = Ok((0, 0));
-        let mut outcomes: Vec<QueryRun> = Vec::with_capacity(queries.len());
-
-        std::thread::scope(|scope| {
-            let mut states: Vec<QState> = Vec::with_capacity(queries.len());
-            let mut handles = Vec::with_capacity(queries.len());
-            let chunk_size = self
-                .opts
-                .chunk_size
-                .clamp(1, self.opts.channel_capacity.max(1));
-            let chunks_cap = (self.opts.channel_capacity.max(1) / chunk_size).max(1);
-            for q in queries {
-                let (tx, rx) = sync_channel(chunks_cap);
-                let worker_opts = engine_opts.clone();
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let feed = ChannelFeed::new(rx);
-                    // The worker reuses the query's compiled program; its
-                    // run table is seeded from the program's pre-interned
-                    // symbols and event names are interned on arrival.
-                    let report = gcx_core::run_with_feed(q, &worker_opts, feed, &mut out);
-                    (out, report)
-                }));
-                states.push(QState {
-                    tx: Some(tx),
-                    chunk: Vec::with_capacity(chunk_size),
-                    chunk_size,
-                    skip_depth: 0,
-                    counters: vec![ChildCounters::new()],
-                    counter_pool: Vec::new(),
-                });
+        let mut session = MultiSession::new(plan, queries, &self.opts);
+        loop {
+            // Read straight into the tokenizer window (no copy).
+            let pos = session.position();
+            let n = input.read(session.space(READ_CHUNK)).map_err(|e| {
+                EngineError::Xml(XmlError {
+                    kind: XmlErrorKind::Io(e),
+                    pos,
+                })
+            })?;
+            if n == 0 {
+                return session.finish();
             }
-
-            scan_result = drive(&mut input, &mut matcher, &mut symbols, &mut states);
-            // Successful or not: disconnect every channel so workers
-            // finish (Eof was already sent on success).
-            drop(states);
-            for handle in handles {
-                let (output, report) = handle.join().expect("worker panicked");
-                outcomes.push(QueryRun { output, report });
-            }
-        });
-
-        let (tokens, fanout_events) = scan_result?;
-        Ok(BatchReport {
-            queries: outcomes,
-            tokens,
-            fanout_events,
-            elapsed: started.elapsed(),
-        })
+            session.commit(n)?;
+        }
     }
 }
 
-/// Chunk size the driver reads from its source between tokenizer steps.
+/// Bytes read from the source per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
-
-/// The single shared scan, driven through the sans-IO push tokenizer: the
-/// engine core below this loop never touches the `Read` source — chunks
-/// are read at the edge and fed into the tokenizer window whenever it
-/// reports `NeedMoreData`. Returns (structural tokens, fan-out events).
-fn drive<R: Read>(
-    input: &mut R,
-    matcher: &mut MergedMatcher,
-    symbols: &mut SymbolTable,
-    states: &mut [QState],
-) -> Result<(u64, u64), EngineError> {
-    let mut tokens = 0u64;
-    let mut fanout = 0u64;
-    let mut merged_skip = 0u32;
-    // Scratch reused across elements: per-query roles of the current node.
-    let mut role_scratch: Vec<(RoleId, u32)> = Vec::new();
-
-    let mut tok = PushTokenizer::new();
-    loop {
-        match tok.step()? {
-            TokenStep::End => break,
-            TokenStep::NeedMoreData => {
-                // Refill the window straight from the source (no copy).
-                let pos = tok.position();
-                let gap = tok.space(READ_CHUNK);
-                let n = input.read(gap).map_err(|e| {
-                    EngineError::Xml(XmlError {
-                        kind: XmlErrorKind::Io(e),
-                        pos,
-                    })
-                })?;
-                if n == 0 {
-                    tok.finish_input();
-                } else {
-                    tok.commit(n);
-                }
-                continue;
-            }
-            TokenStep::Token => {}
-        }
-        let token = tok.token();
-        match token {
-            Token::StartTag(start) => {
-                let self_closing = start.self_closing;
-                if merged_skip > 0 {
-                    if !self_closing {
-                        merged_skip += 1;
-                    }
-                } else {
-                    let name = symbols.intern(start.name);
-                    // Shared owned copies, built lazily on first keeper.
-                    let mut shared: Option<SharedStart> = None;
-                    let outcome = matcher.enter_element(name);
-                    let any_keep = outcome.any_keep;
-                    for (qi, qs) in states.iter_mut().enumerate() {
-                        if !qs.alive() {
-                            continue;
-                        }
-                        if qs.skip_depth > 0 {
-                            // Inside a subtree this query skipped but some
-                            // other query keeps: balance the counter. When
-                            // nobody keeps (merged skip), the subtree's end
-                            // tags never reach per-query state, so the
-                            // counter must not move either.
-                            if !self_closing && any_keep {
-                                qs.skip_depth += 1;
-                            }
-                            continue;
-                        }
-                        // In this query's kept region: every child bumps
-                        // ordinals, kept or not (positional predicates see
-                        // true document positions).
-                        let ordinals = ordinals_elem(qs, name);
-                        if any_keep && outcome.kept[qi] {
-                            role_scratch.clear();
-                            role_scratch.extend(outcome.roles_of(qi as u32));
-                            let (name, attrs) = shared.get_or_insert_with(|| {
-                                let name: Arc<str> = start.name.into();
-                                let attrs: Arc<[_]> = start
-                                    .attrs
-                                    .iter()
-                                    .map(|a| (Box::<str>::from(a.name), Box::<str>::from(a.value)))
-                                    .collect();
-                                (name, attrs)
-                            });
-                            qs.send(FeedEvent::Start {
-                                name: name.clone(),
-                                attrs: attrs.clone(),
-                                roles: role_scratch.as_slice().into(),
-                                ordinals,
-                                self_closing,
-                            });
-                            fanout += 1;
-                            if !self_closing {
-                                let counters = qs.counter_pool.pop().unwrap_or_default();
-                                qs.counters.push(counters);
-                            }
-                        } else if any_keep && !self_closing {
-                            // Some other query keeps this subtree; this one
-                            // starts skipping it. (If nobody keeps it, the
-                            // merged skip below hides it from everyone.)
-                            qs.skip_depth = 1;
-                        }
-                    }
-                    if any_keep {
-                        if self_closing {
-                            matcher.leave_element();
-                        }
-                    } else if !self_closing {
-                        merged_skip = 1;
-                    }
-                }
-                tokens += 1;
-                if self_closing {
-                    // A self-closing tag stands for open+close: count both.
-                    tokens += 1;
-                }
-            }
-            Token::EndTag { .. } => {
-                if merged_skip > 0 {
-                    merged_skip -= 1;
-                } else {
-                    for qs in states.iter_mut() {
-                        if !qs.alive() {
-                            continue;
-                        }
-                        if qs.skip_depth > 0 {
-                            qs.skip_depth -= 1;
-                        } else {
-                            debug_assert!(
-                                qs.counters.len() > 1,
-                                "End for an element this query never kept"
-                            );
-                            let mut counters =
-                                qs.counters.pop().expect("counter stack never empty");
-                            counters.clear();
-                            qs.counter_pool.push(counters);
-                            qs.send(FeedEvent::End);
-                            fanout += 1;
-                        }
-                    }
-                    matcher.leave_element();
-                }
-                tokens += 1;
-            }
-            Token::Text(content) => {
-                if merged_skip == 0 {
-                    let roles = matcher.text();
-                    let mut shared: Option<Arc<str>> = None;
-                    for (qi, qs) in states.iter_mut().enumerate() {
-                        if !qs.alive() || qs.skip_depth > 0 {
-                            continue;
-                        }
-                        let ordinals = ordinals_text(qs);
-                        let qi = qi as u32;
-                        // Restrict to this query's tag; role-free text is
-                        // irrelevant to it and not sent.
-                        let lo = roles.partition_point(|&(t, _, _)| t < qi);
-                        let hi = roles.partition_point(|&(t, _, _)| t <= qi);
-                        if lo == hi {
-                            continue;
-                        }
-                        let content = shared
-                            .get_or_insert_with(|| Arc::<str>::from(&*content))
-                            .clone();
-                        qs.send(FeedEvent::Text {
-                            content,
-                            roles: roles[lo..hi].iter().map(|&(_, r, c)| (r, c)).collect(),
-                            ordinals,
-                        });
-                        fanout += 1;
-                    }
-                }
-                tokens += 1;
-            }
-            // Comments, PIs and the doctype are not part of the data model.
-            Token::Comment(_) | Token::ProcessingInstruction { .. } | Token::Doctype(_) => {}
-        }
-    }
-    // Input exhausted: close every query's virtual root and flush.
-    for qs in states.iter_mut() {
-        qs.send(FeedEvent::Eof);
-        fanout += 1;
-        qs.flush();
-    }
-    Ok((tokens, fanout))
-}
-
-/// Ordinals for an element child in this query's current open element.
-fn ordinals_elem(qs: &mut QState, name: Symbol) -> Ordinals {
-    qs.counters
-        .last_mut()
-        .expect("counter stack never empty")
-        .next_elem(name)
-}
-
-/// Ordinals for a text child in this query's current open element.
-fn ordinals_text(qs: &mut QState) -> Ordinals {
-    qs.counters
-        .last_mut()
-        .expect("counter stack never empty")
-        .next_text()
-}
 
 /// Evaluate a batch with default options.
 pub fn run_batch<R: Read>(queries: &[CompiledQuery], input: R) -> Result<BatchReport, EngineError> {
@@ -579,6 +196,7 @@ pub fn run_batch<R: Read>(queries: &[CompiledQuery], input: R) -> Result<BatchRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcx_core::EngineOptions;
 
     fn compile(texts: &[&str]) -> Vec<CompiledQuery> {
         texts
@@ -610,7 +228,7 @@ mod tests {
             let expected = standalone(q, DOC);
             assert_eq!(run.output, expected);
             let r = run.report.as_ref().unwrap();
-            assert_eq!(r.buffer.live, 0, "worker buffer must drain");
+            assert_eq!(r.buffer.live, 0, "query buffer must drain");
         }
         assert!(report.tokens > 0);
         assert!(report.share_factor() > 1.0, "4 queries must share the scan");
@@ -648,8 +266,40 @@ mod tests {
         let run = &report.queries[0];
         assert_eq!(run.output, standalone(&queries[0], DOC));
         let r = run.report.as_ref().unwrap();
-        assert!(r.obs.is_some(), "telemetry must reach the worker engines");
+        assert!(r.obs.is_some(), "telemetry must reach every query's report");
         assert!(report.to_json().contains("\"obs\""));
+    }
+
+    #[test]
+    fn a_failing_query_does_not_stop_its_peers() {
+        // Budget = the small query's standalone peak: it fits exactly,
+        // while the query buffering whole books crosses it mid-stream.
+        let doc = format!(
+            "<bib><book><title>{}</title></book><article/><article/></bib>",
+            "x".repeat(512)
+        );
+        let queries = compile(&["for $b in /bib/book return $b", "count(/bib/article)"]);
+        let budget = {
+            let mut out = Vec::new();
+            gcx_core::run(&queries[1], &EngineOptions::gcx(), doc.as_bytes(), &mut out)
+                .unwrap()
+                .buffer
+                .peak_live_bytes
+        };
+        let opts = BatchOptions {
+            max_buffer_bytes: Some(budget),
+            ..BatchOptions::default()
+        };
+        let report = SharedRun::new(opts).run(&queries, doc.as_bytes()).unwrap();
+        let err = report.queries[0].report.as_ref().unwrap_err();
+        assert!(
+            matches!(err, EngineError::BufferLimitExceeded { .. }),
+            "{err}"
+        );
+        let peer = &report.queries[1];
+        assert_eq!(peer.output, standalone(&queries[1], &doc));
+        assert_eq!(peer.report.as_ref().unwrap().buffer.peak_live_bytes, budget);
+        assert!(report.to_json().contains("\"error\""));
     }
 
     #[test]

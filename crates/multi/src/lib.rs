@@ -8,25 +8,25 @@
 //! compiled queries in a **single pass** over the input:
 //!
 //! ```text
-//!                      ┌───────────────┐  per-query events   ┌──────────────┐
-//!   XML ──► Tokenizer ─► MergedMatcher ├──────────┬─────────►│ BufferTree q0│──► out 0
-//!            (once)    │ (union NFA,   │          │          │ + evaluator  │
-//!                      │ tagged roles) │          └─────────►│ BufferTree q1│──► out 1
-//!                      └───────────────┘   bounded channels  │ + evaluator  │
-//!                                                            └──────────────┘
+//!                      ┌───────────────┐  per-query events  ┌──────────────────┐
+//!   XML ──► Tokenizer ─► MergedMatcher ├─────────┬─────────►│ EvalUnit q0      │──► out 0
+//!            (once)    │ (union NFA,   │         │          │ buffer + VM      │
+//!                      │ tagged roles) │         └─────────►│ EvalUnit q1      │──► out 1
+//!                      └───────────────┘    direct calls    │ buffer + VM      │
+//!                                          (one thread)     └──────────────────┘
 //! ```
 //!
 //! * [`MergedMatcher`] unions the per-query projection NFAs
 //!   ([`gcx_projection::TaggedPaths`]) so each token is tokenized and
 //!   matched **exactly once** no matter how many queries want it; element
 //!   outcomes carry per-query tags.
-//! * [`SharedRun`] drives the pass: it stamps per-query ordinals, fans
-//!   matched tokens out to per-query worker threads over bounded channels
-//!   (backpressure keeps memory proportional to the per-query buffers, not
-//!   the stream), and collects outputs. Each worker runs the unmodified
-//!   single-query evaluator ([`gcx_core::run_with_feed`]) over a
-//!   [`ChannelFeed`], so each query's role multiset, signOff execution and
-//!   therefore *buffer minimality* are preserved verbatim.
+//! * [`MultiSession`] is the pass, sans-IO: it stamps per-query ordinals
+//!   and pushes each query's share of every token straight into that
+//!   query's [`gcx_core::EvalUnit`] — the same buffer + VM + writer a
+//!   standalone [`gcx_core::EvalSession`] owns — resuming each VM at the
+//!   points the standalone session would. Each query's role multiset,
+//!   signOff execution and therefore *buffer minimality* are preserved
+//!   verbatim. [`SharedRun`] is its blocking wrapper over a `Read`.
 //! * [`BatchReport`] aggregates throughput, per-query buffer statistics
 //!   and the share factor (work that would have been repeated N× but ran
 //!   once).
@@ -36,9 +36,9 @@
 //! and property suites in `tests/`.
 
 mod driver;
-mod feed;
 mod matcher;
+mod session;
 
 pub use driver::{run_batch, BatchOptions, BatchReport, QueryRun, SharedRun};
-pub use feed::{ChannelFeed, FeedEvent};
 pub use matcher::{BatchPlan, MergedMatcher};
+pub use session::MultiSession;

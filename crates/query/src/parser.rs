@@ -1,9 +1,28 @@
 //! Recursive-descent parser for the GCX XQuery fragment.
 //!
-//! The grammar is given in DESIGN.md §2. Keywords (`for`, `in`, `where`,
-//! `return`, `if`, `then`, `else`, `and`, `or`, `not`, `exists`, aggregate
-//! names, `signOff`) are matched contextually — they are valid element and
-//! step names elsewhere, as in real XQuery.
+//! The grammar, one `parse_*` method per production:
+//!
+//! ```text
+//! seq      ::= single ("," single)*
+//! single   ::= "for" $var "in" path ("where" cond)? "return" single
+//!            | "if" "(" cond ")" "then" single ("else" single)?
+//!            | agg "(" path ")"            agg ::= count | sum | min | max | avg
+//!            | "<" name (name "=" string)* ("/>" | ">" content* "</" name ">")
+//!            | "(" seq? ")" | path | string | number | "signOff" "(" path "," rN ")"
+//! content  ::= "{" seq "}" | constructor
+//! cond     ::= and ("or" and)*             and ::= prim ("and" prim)*
+//! prim     ::= "not" "(" cond ")" | "exists" "(" path ")" | "true()" | "false()"
+//!            | strfn "(" operand "," operand ")" | "(" cond ")"
+//!            | operand cmp operand         cmp ::= = | != | < | <= | > | >=
+//! operand  ::= path | string | number
+//! path     ::= ($var | "/" | "//" step) (("/" | "//") step)*
+//! step     ::= (axis "::" | "@")? (name | "*" | "text()" | "node()") ("[" integer "]")?
+//! ```
+//!
+//! Keywords (`for`, `in`, `where`, `return`, `if`, `then`, `else`, `and`,
+//! `or`, `not`, `exists`, aggregate names, `signOff`) are matched
+//! contextually — they are valid element and step names elsewhere, as in
+//! real XQuery.
 //!
 //! `signOff(path, rN)` is parsed so that pretty-printed rewritten queries
 //! round-trip; user queries normally never contain it.

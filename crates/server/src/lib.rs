@@ -75,8 +75,8 @@ use stats::Counter;
 use gcx_core::{CompiledQuery, EngineError, EngineOptions};
 use http::{BodyReader, DeferredBody, RequestHead};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -312,19 +312,47 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         if q.conns.len() >= shared.config.queue_depth {
             drop(q);
             shared.stats.rejected_busy.bump();
-            let mut stream = stream;
-            let _ = http::write_response(
-                &mut stream,
-                503,
-                "Service Unavailable",
-                &[("Retry-After", "1")],
-                b"server saturated: admission queue full\n",
-                true,
-            );
+            reject_busy(stream);
         } else {
             q.conns.push_back((stream, Instant::now()));
             drop(q);
             shared.ready.notify_one();
+        }
+    }
+}
+
+/// How long the acceptor reads a rejected client's request before closing.
+const REJECT_DRAIN: Duration = Duration::from_millis(50);
+
+/// Answer a connection the queue has no room for with `503`, in a way the
+/// client gets to read. Closing a socket while the client's request still
+/// sits unread in it makes the kernel answer with a reset, which can
+/// destroy the response before the client reads it. So: send the 503,
+/// half-close (the client sees end of response), drain what the client
+/// sent until it closes or [`REJECT_DRAIN`] passes — a slow client cannot
+/// stall the acceptor longer — and only then close.
+fn reject_busy(mut stream: TcpStream) {
+    let _ = http::write_response(
+        &mut stream,
+        503,
+        "Service Unavailable",
+        &[("Retry-After", "1")],
+        b"server saturated: admission queue full\n",
+        true,
+    );
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + REJECT_DRAIN;
+    let mut scratch = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
     }
 }

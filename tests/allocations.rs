@@ -12,10 +12,10 @@
 //! deltas.
 
 use gcx::core::buffer::{AttrBuf, BufferTree, NodeId, Ordinals};
-use gcx::core::stream::Preprojector;
+use gcx::core::Projector;
 use gcx::projection::{analyze, CompiledPaths, StreamMatcher};
 use gcx::query::ast::RoleId;
-use gcx::xml::{SymbolTable, Tokenizer};
+use gcx::xml::{PushTokenizer, SymbolTable, TokenStep, Tokenizer};
 
 #[global_allocator]
 static ALLOC: gcx::memtrack::TrackingAllocator = gcx::memtrack::TrackingAllocator::new();
@@ -44,10 +44,10 @@ fn tokenize_allocs(doc: &str) -> u64 {
     gcx::memtrack::total_allocs() - before
 }
 
-/// Allocation events consumed by a full preprojector pass (tokenizer +
-/// projection NFA + buffer appends and purges). The query's projection
-/// path keeps every `item` speculatively and purges it at its end tag —
-/// the steady-state append/purge cycle.
+/// Allocation events consumed by a full projection pass (push tokenizer
+/// fed in 64 KiB chunks + projection NFA + buffer appends and purges).
+/// The query's projection path keeps every `item` speculatively and
+/// purges it at its end tag — the steady-state append/purge cycle.
 fn preproject_allocs(doc: &str) -> u64 {
     let before = gcx::memtrack::total_allocs();
     let q = gcx::query::compile("for $a in /site/item/zzz return 'x'").unwrap();
@@ -56,8 +56,21 @@ fn preproject_allocs(doc: &str) -> u64 {
     let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
     let (matcher, _) = StreamMatcher::new(&compiled);
     let mut buf = BufferTree::new(true);
-    let mut pre = Preprojector::new(Tokenizer::from_str(doc), matcher, true, None);
-    while pre.advance(&mut buf, &mut symbols).unwrap() {}
+    let mut proj = Projector::new(matcher, true, None);
+    let mut tok = PushTokenizer::new();
+    let mut pump = |tok: &mut PushTokenizer| loop {
+        match tok.step().unwrap() {
+            TokenStep::Token => proj.apply(&tok.token(), &mut buf, &mut symbols),
+            TokenStep::NeedMoreData => break,
+            TokenStep::End => break proj.finish(&mut buf),
+        }
+    };
+    for chunk in doc.as_bytes().chunks(64 * 1024) {
+        tok.feed(chunk);
+        pump(&mut tok);
+    }
+    tok.finish_input();
+    pump(&mut tok);
     assert_eq!(buf.stats().live, 0, "speculative items must all purge");
     assert!(buf.stats().purged as usize >= doc.matches("<item").count());
     gcx::memtrack::total_allocs() - before
@@ -91,7 +104,7 @@ fn steady_state_token_loop_allocates_o1() {
     let p_large = preproject_allocs(&large);
     assert!(
         p_large <= p_small + 64,
-        "preprojector steady state must be allocation-free: \
+        "projection steady state must be allocation-free: \
          {p_small} allocs vs {p_large} for twice the document"
     );
 

@@ -14,6 +14,8 @@
 //! * seeded random multi-way splits;
 //! * handpicked documents with multi-byte UTF-8 and CDATA, split at every
 //!   byte;
+//! * the 11-query shared-stream batch (`gcx-multi`'s `MultiSession`) in
+//!   1-byte, small-prime and seeded random chunks;
 //! * (feature `proptest`) randomized split vectors over randomized
 //!   chunkings.
 
@@ -256,6 +258,64 @@ fn boundaries_inside_utf8_and_cdata_are_invisible() {
         let all: Vec<usize> = (1..doc.len()).collect();
         let got = run_split(&q, doc, &all);
         assert_equiv(&format!("{text} 1-byte"), &want, &got);
+    }
+}
+
+#[test]
+fn shared_batch_is_boundary_blind() {
+    // The batch session pushes every token of one tokenizer into eleven
+    // evaluation units; where the bytes were cut must not show in any
+    // query's output, event count or buffer peak.
+    use gcx::multi::{BatchOptions, BatchPlan, BatchReport, MultiSession};
+
+    let mut cfg = gcx_xmark::XmarkConfig::sized(48 * 1024);
+    cfg.seed = 42;
+    let mut doc = Vec::new();
+    gcx_xmark::generate(&cfg, &mut doc).expect("generate");
+    let queries: Vec<CompiledQuery> = paper_queries()
+        .iter()
+        .map(|(name, text)| CompiledQuery::compile(text).expect(name))
+        .collect();
+    assert_eq!(queries.len(), 11);
+    let plan = BatchPlan::new(&queries, None);
+    let run = |splits: &[usize]| -> BatchReport {
+        let mut session = MultiSession::new(&plan, &queries, &BatchOptions::default());
+        let mut from = 0;
+        for &cut in splits {
+            session.feed(&doc[from..cut]).expect("feed");
+            from = cut;
+        }
+        session.feed(&doc[from..]).expect("final feed");
+        session.finish().expect("finish")
+    };
+    let want = run(&[]);
+    let check = |label: &str, got: &BatchReport| {
+        assert_eq!(got.tokens, want.tokens, "{label}: shared token count");
+        assert_eq!(got.fanout_events, want.fanout_events, "{label}: fan-out");
+        for (((name, _), w), g) in paper_queries().iter().zip(&want.queries).zip(&got.queries) {
+            let (wr, gr) = (w.report.as_ref().unwrap(), g.report.as_ref().unwrap());
+            assert_eq!(g.output, w.output, "{label} {name}: output differs");
+            assert_eq!(gr.tokens, wr.tokens, "{label} {name}: events differ");
+            assert_eq!(
+                gr.buffer.peak_live_bytes, wr.buffer.peak_live_bytes,
+                "{label} {name}: peak buffer bytes differ"
+            );
+            assert_eq!(
+                gr.buffer.peak_live, wr.buffer.peak_live,
+                "{label} {name}: peak buffered nodes differ"
+            );
+        }
+    };
+    let all: Vec<usize> = (1..doc.len()).collect();
+    check("1-byte", &run(&all));
+    for prime in [7usize, 13, 61] {
+        let splits: Vec<usize> = (prime..doc.len()).step_by(prime).collect();
+        check(&format!("every {prime} bytes"), &run(&splits));
+    }
+    let mut rng = XorShift(0x5EED_0B47);
+    for round in 0..4 {
+        let splits = rng.splits(doc.len(), 9);
+        check(&format!("random {round} {splits:?}"), &run(&splits));
     }
 }
 
